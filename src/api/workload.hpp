@@ -59,8 +59,8 @@
 #include "common/matrix.hpp"
 #include "core/config.hpp"
 #include "core/engine.hpp"
-#include "workloads/autoencoder.hpp"
 #include "workloads/gemm.hpp"
+#include "workloads/network.hpp"
 
 namespace redmule::api {
 

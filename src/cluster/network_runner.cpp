@@ -8,6 +8,7 @@ namespace {
 
 using fp16::Float16;
 using workloads::AeGemm;
+using workloads::lowered_gemm;
 using workloads::NetworkGraph;
 using workloads::NetworkLayer;
 using workloads::TiledGemmPlan;
@@ -171,10 +172,8 @@ NetworkGemmStats run_linear_layer(Cluster& cl, RedmuleDriver& drv,
                                   uint32_t cur_act, uint32_t batch, uint32_t bp,
                                   size_t l) {
   auto& l2 = cl.l2();
-  NetworkGemmStats gs;
-  gs.layer = static_cast<unsigned>(l);
-  gs.phase = AeGemm::Phase::kForward;
-  gs.shape = {"L" + std::to_string(l) + ".fw", g.m, g.n, g.kk};
+  NetworkGemmStats gs{
+      lowered_gemm(l, AeGemm::Phase::kForward, g.m, g.n, g.kk), {}};
   const TiledGemmPlan plan = workloads::plan_tiled_gemm(
       g.m, pad_even(g.n), bp, false, drv.bytes_free(), cl.config().geometry);
   gs.tiled = tiled.run_staged({a.weight, cur_act, a.pre, 0}, plan);
@@ -302,10 +301,8 @@ NetworkRunner::ForwardResult NetworkRunner::forward(const NetworkGraph& net,
     if (g.conv) {
       REDMULE_REQUIRE(batch == 1, "conv layers require batch 1");
       const uint32_t np = pad_even(g.n), kkp = pad_even(g.kk);
-      NetworkGemmStats gs;
-      gs.layer = static_cast<unsigned>(l);
-      gs.phase = AeGemm::Phase::kForward;
-      gs.shape = {"L" + std::to_string(l) + ".fw", g.m, g.n, g.kk};
+      NetworkGemmStats gs{
+          lowered_gemm(l, AeGemm::Phase::kForward, g.m, g.n, g.kk), {}};
 
       // im2col front-end: reshape the resident activation column to the
       // (C x H*W) image and stage the padded patch matrix.
@@ -443,10 +440,8 @@ NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
     write_mat(l2, lay.act_t,
               read_mat(l2, act_in, inp, bp).transposed());  // (bp x inp)
 
-    NetworkGemmStats gw;
-    gw.layer = static_cast<unsigned>(li);
-    gw.phase = AeGemm::Phase::kGradWeight;
-    gw.shape = {"L" + std::to_string(li) + ".dW", g.m, batch, g.n};
+    NetworkGemmStats gw{
+        lowered_gemm(li, AeGemm::Phase::kGradWeight, g.m, g.n, batch), {}};
     const TiledGemmPlan plan_dw = workloads::plan_tiled_gemm(
         g.m, bp, inp, false, drv_.bytes_free(), geom);
     gw.tiled = tiled.run_staged({dy_cur, lay.act_t, lay.layers[li].dw, 0}, plan_dw);
@@ -455,10 +450,8 @@ NetworkRunner::TrainingResult NetworkRunner::training_step_staged(
     cl_.sim().checkpoint();  // per-GEMM deadline/cancel poll point
 
     if (li > 0) {
-      NetworkGemmStats gx;
-      gx.layer = static_cast<unsigned>(li);
-      gx.phase = AeGemm::Phase::kGradInput;
-      gx.shape = {"L" + std::to_string(li) + ".dX", g.n, g.m, batch};
+      NetworkGemmStats gx{
+          lowered_gemm(li, AeGemm::Phase::kGradInput, g.m, g.n, batch), {}};
       const TiledGemmPlan plan_dx = workloads::plan_tiled_gemm(
           g.n, outp, bp, false, drv_.bytes_free(), geom);
       gx.tiled = tiled.run_staged({lay.layers[li].wt, dy_cur, dy_next, 0}, plan_dx);
@@ -571,10 +564,8 @@ NetworkRunner::TrainingSliceResult NetworkRunner::training_slice_staged(
     res.grads.act[li] = read_mat(l2, act_in, inp, bp);
 
     if (li > 0) {
-      NetworkGemmStats gx;
-      gx.layer = static_cast<unsigned>(li);
-      gx.phase = AeGemm::Phase::kGradInput;
-      gx.shape = {"L" + std::to_string(li) + ".dX", g.n, g.m, batch};
+      NetworkGemmStats gx{
+          lowered_gemm(li, AeGemm::Phase::kGradInput, g.m, g.n, batch), {}};
       const TiledGemmPlan plan_dx = workloads::plan_tiled_gemm(
           g.n, outp, bp, false, drv_.bytes_free(), geom);
       gx.tiled = tiled.run_staged({lay.layers[li].wt, dy_cur, dy_next, 0}, plan_dx);
@@ -663,10 +654,8 @@ NetworkStats DwAccumulator::accumulate(
     write_mat(l2, dy_addr_, grads.dy[li]);
     write_mat(l2, act_t_addr_, grads.act[li].transposed());  // (sp x np)
 
-    NetworkGemmStats gw;
-    gw.layer = static_cast<unsigned>(li);
-    gw.phase = AeGemm::Phase::kGradWeight;
-    gw.shape = {"L" + std::to_string(li) + ".dW", s.m, grads.batch, s.n};
+    NetworkGemmStats gw{
+        lowered_gemm(li, AeGemm::Phase::kGradWeight, s.m, s.n, grads.batch), {}};
     // first: plain GEMM starting the chain. Otherwise the resident partial
     // preloads as Y in place (y == z), continuing the reduction exactly as
     // the monolithic chain's next H-aligned segment would.

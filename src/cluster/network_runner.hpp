@@ -43,12 +43,11 @@ struct NetworkRunnerOptions {
   bool double_buffer = true;
 };
 
-/// Counters of one lowered GEMM of the network execution.
-struct NetworkGemmStats {
-  unsigned layer = 0;
-  workloads::AeGemm::Phase phase = workloads::AeGemm::Phase::kForward;
-  workloads::GemmShape shape;  ///< real (unpadded) extents
-  TiledGemmStats tiled;        ///< whole-pipeline counters incl. DMA
+/// Counters of one lowered GEMM of the network execution: the GEMM exactly
+/// as workloads::lowered_gemm labels it (layer, phase, real unpadded
+/// extents) plus what running it cost.
+struct NetworkGemmStats : workloads::AeGemm {
+  TiledGemmStats tiled;  ///< whole-pipeline counters incl. DMA
 };
 
 struct NetworkStats {

@@ -26,7 +26,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "mem/tcdm.hpp"
 #include "sim/simulator.hpp"
 

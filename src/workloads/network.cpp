@@ -1,5 +1,8 @@
 #include "workloads/network.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "core/golden.hpp"
 
 namespace redmule::workloads {
@@ -10,7 +13,37 @@ namespace {
 
 uint32_t pad_even(uint32_t v) { return v + (v & 1u); }
 
+uint64_t sum_macs(const std::vector<AeGemm>& gemms) {
+  uint64_t macs = 0;
+  for (const AeGemm& g : gemms) macs += g.shape.macs();
+  return macs;
+}
+
 }  // namespace
+
+// --- Autoencoder config and the GEMM lowering rule --------------------------
+
+std::vector<uint32_t> AutoencoderConfig::dims() const {
+  std::vector<uint32_t> d;
+  d.push_back(input_dim);
+  d.insert(d.end(), hidden.begin(), hidden.end());
+  d.push_back(input_dim);
+  return d;
+}
+
+AeGemm lowered_gemm(size_t layer, AeGemm::Phase phase, uint32_t out, uint32_t in,
+                    uint32_t cols) {
+  AeGemm g;
+  g.layer = static_cast<unsigned>(layer);
+  g.phase = phase;
+  const std::string l = "L" + std::to_string(layer);
+  switch (phase) {
+    case AeGemm::Phase::kForward: g.shape = {l + ".fw", out, in, cols}; break;
+    case AeGemm::Phase::kGradWeight: g.shape = {l + ".dW", out, cols, in}; break;
+    case AeGemm::Phase::kGradInput: g.shape = {l + ".dX", in, out, cols}; break;
+  }
+  return g;
+}
 
 // --- NetworkLayer -----------------------------------------------------------
 
@@ -85,30 +118,61 @@ bool NetworkGraph::has_conv() const {
   return false;
 }
 
+std::vector<AeGemm> NetworkGraph::forward_gemms(uint32_t batch) const {
+  std::vector<AeGemm> out;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const GemmShape s = layers_[l].forward_shape(batch);
+    out.push_back(lowered_gemm(l, AeGemm::Phase::kForward, s.m, s.n, s.k));
+  }
+  return out;
+}
+
+std::vector<AeGemm> NetworkGraph::training_gemms(uint32_t batch) const {
+  std::vector<AeGemm> out = forward_gemms(batch);
+  for (size_t l = layers_.size(); l-- > 0;) {
+    const uint32_t in = layers_[l].in_dim(), outd = layers_[l].out_dim();
+    out.push_back(lowered_gemm(l, AeGemm::Phase::kGradWeight, outd, in, batch));
+    if (l > 0)
+      out.push_back(lowered_gemm(l, AeGemm::Phase::kGradInput, outd, in, batch));
+  }
+  return out;
+}
+
 uint64_t NetworkGraph::forward_macs(uint32_t batch) const {
-  uint64_t macs = 0;
-  for (const NetworkLayer& l : layers_) macs += l.forward_shape(batch).macs();
-  return macs;
+  return sum_macs(forward_gemms(batch));
 }
 
 uint64_t NetworkGraph::training_macs(uint32_t batch) const {
-  uint64_t macs = forward_macs(batch);
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    const uint64_t in = layers_[l].in_dim(), out = layers_[l].out_dim();
-    macs += out * static_cast<uint64_t>(batch) * in;          // dW
-    if (l > 0) macs += in * static_cast<uint64_t>(out) * batch;  // dX
+  return sum_macs(training_gemms(batch));
+}
+
+size_t NetworkGraph::weight_bytes() const {
+  size_t params = 0;
+  for (const NetworkLayer& l : layers_) params += l.weight.rows() * l.weight.cols();
+  return params * sizeof(uint16_t);
+}
+
+size_t NetworkGraph::activation_bytes(uint32_t batch) const {
+  // Every layer's input and the final output stay live for the backward
+  // pass, plus a double-buffered gradient of the widest layer.
+  size_t acts = static_cast<size_t>(input_dim()) * batch;
+  uint32_t widest = input_dim();
+  for (const NetworkLayer& l : layers_) {
+    acts += static_cast<size_t>(l.out_dim()) * batch;
+    widest = std::max(widest, l.out_dim());
   }
-  return macs;
+  return (acts + 2ull * widest * batch) * sizeof(uint16_t);
 }
 
 NetworkGraph NetworkGraph::autoencoder(const AutoencoderConfig& cfg,
                                        Xoshiro256& rng) {
-  // Reuse the Autoencoder's weight initialization verbatim so the two models
-  // correspond layer-for-layer for the same (config, rng state).
-  Autoencoder ae(cfg, rng);
+  const std::vector<uint32_t> d = cfg.dims();
   NetworkGraph net;
-  for (size_t l = 0; l < cfg.n_layers(); ++l)
-    net.add_linear(ae.weight(l), /*relu=*/l + 1 < cfg.n_layers());
+  for (size_t l = 0; l + 1 < d.size(); ++l) {
+    const double scale = std::sqrt(2.0 / d[l]);
+    net.add_linear(random_matrix(d[l + 1], d[l], rng, -scale, scale),
+                   /*relu=*/l + 2 < d.size());
+  }
   return net;
 }
 

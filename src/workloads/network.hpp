@@ -2,14 +2,18 @@
 /// \brief Multi-layer network description and its bit-exact GEMM lowering.
 ///
 /// The paper's headline use case (§III-B) is not a single GEMM but a whole
-/// training step of the TinyMLPerf autoencoder: a chain of forward/backward
-/// matmuls with activations flowing between layers. NetworkGraph describes
-/// such a chain -- fully-connected layers (optional bias + ReLU) plus
-/// convolutions admitted through the existing im2col lowering -- and this
-/// module defines the *lowering contract* every executor of the chain
-/// follows, so the cycle-accurate cluster executor
-/// (cluster/network_runner.hpp), the per-layer monolithic driver path, and
-/// the golden reference here all produce bit-identical FP16 results.
+/// training step of the TinyMLPerf anomaly-detection autoencoder
+///   640 -> 128 -> 128 -> 128 -> 128 -> 8 -> 128 -> 128 -> 128 -> 128 -> 640
+/// with ReLU between layers: a chain of forward/backward matmuls with
+/// activations flowing between layers. NetworkGraph describes such a chain
+/// -- fully-connected layers (optional bias + ReLU) plus convolutions
+/// admitted through the existing im2col lowering -- and this module defines
+/// the *lowering contract* every executor of the chain follows, so the
+/// cycle-accurate cluster executor (cluster/network_runner.hpp), the
+/// per-layer monolithic driver path, and the golden reference here all
+/// produce bit-identical FP16 results. NetworkGraph is the only model of the
+/// network: the Fig. 4c/4d shape benches, bench_network, sharding and warm
+/// starts all read their GEMM lists from training_gemms()/forward_gemms().
 ///
 /// The lowering contract (batch B, padded batch Bp = B rounded up to even;
 /// every dimension that becomes a DMA row length is likewise rounded up to
@@ -36,7 +40,16 @@
 ///     region; per layer, dW_l = dY * A_l^T (reduction over Bp) and
 ///     dX_l = Wp_l^T * dY (reduction over outp), dX masked to +0 where the
 ///     *pre-activation* was < 0; optional SGD update
-///     w := fp16_sub(w, fp16(lr/B * dw)), exactly the Autoencoder rule.
+///     w := fp16_sub(w, fp16(lr/B * dw)), exactly apply_sgd_update below.
+///  6. GEMM naming and extents (lowered_gemm): with real extents out x in
+///     and `cols` activation columns (the batch; oh*ow for a conv forward),
+///       L{l}.fw  m = out, n = in,   k = cols   (W * A)
+///       L{l}.dW  m = out, n = cols, k = in     (dY * A^T)
+///       L{l}.dX  m = in,  n = out,  k = cols   (W^T * dY)
+///     A training step runs forward L0..Ln-1, then for each layer from last
+///     to first dW and then dX (no dX for layer 0). Forward and dX GEMMs
+///     have K = B, so at B = 1 the accelerator cannot fill its H*(P+1)
+///     pipeline slots -- the effect Fig. 4c/4d quantifies.
 ///
 /// Elementwise FP16 rules and their double-precision golden mirrors are
 /// defined below; both are exact: FP16 add/sub of two FP16 values is a
@@ -53,7 +66,6 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "core/config.hpp"
-#include "workloads/autoencoder.hpp"
 #include "workloads/gemm.hpp"
 #include "workloads/lowering.hpp"
 
@@ -82,6 +94,31 @@ inline fp16::Float16 bias_add_golden(fp16::Float16 v, fp16::Float16 b) {
 }
 
 // --- Network description ---------------------------------------------------
+
+/// Configuration of the TinyMLPerf autoencoder (NetworkGraph::autoencoder).
+struct AutoencoderConfig {
+  uint32_t input_dim = 640;
+  std::vector<uint32_t> hidden = {128, 128, 128, 128, 8, 128, 128, 128, 128};
+  uint32_t batch = 1;
+
+  /// Layer dimension chain: input_dim, hidden..., input_dim.
+  std::vector<uint32_t> dims() const;
+  size_t n_layers() const { return hidden.size() + 1; }
+};
+
+/// One lowered matmul of a network pass, with real (unpadded) extents.
+struct AeGemm {
+  GemmShape shape;
+  unsigned layer = 0;
+  enum class Phase { kForward, kGradInput, kGradWeight } phase = Phase::kForward;
+
+  bool backward() const { return phase != Phase::kForward; }
+};
+
+/// The one GEMM lowering rule (contract item 6): layer \p layer's matmul of
+/// \p phase for an (\p out x \p in) layer over \p cols activation columns.
+AeGemm lowered_gemm(size_t layer, AeGemm::Phase phase, uint32_t out, uint32_t in,
+                    uint32_t cols);
 
 /// One layer of a sequential network. Linear layers carry an (out x in)
 /// weight matrix; conv layers carry (out_ch x C*k*k) row-major filters and
@@ -122,13 +159,24 @@ class NetworkGraph {
   uint32_t output_dim() const;
   bool has_conv() const;
 
+  /// The lowered GEMMs in execution order: forward L0..Ln-1, then (training)
+  /// dW and dX per layer from last to first, no dX for layer 0.
+  std::vector<AeGemm> forward_gemms(uint32_t batch) const;
+  std::vector<AeGemm> training_gemms(uint32_t batch) const;
+
   /// Useful MACs of the lowered GEMM chains (real, unpadded extents).
   uint64_t forward_macs(uint32_t batch) const;
   uint64_t training_macs(uint32_t batch) const;
 
+  /// FP16 footprints: every weight, and the activations a training step
+  /// keeps for the backward pass plus a double-buffered gradient of the
+  /// widest layer (paper Fig. 4d: B = 16 fits a PULP L2).
+  size_t weight_bytes() const;
+  size_t activation_bytes(uint32_t batch) const;
+
   /// The TinyMLPerf autoencoder as a NetworkGraph: ReLU between layers (not
-  /// after the last), no bias, weights drawn exactly like
-  /// workloads::Autoencoder so the two models correspond layer-for-layer.
+  /// after the last), no bias, He-style weights scaled for the FP16 range,
+  /// uniform in +-sqrt(2 / in_dim), drawn from \p rng layer by layer.
   static NetworkGraph autoencoder(const AutoencoderConfig& cfg, Xoshiro256& rng);
 
  private:
@@ -170,7 +218,7 @@ NetworkTrainingRef reference_training_step(NetworkGraph& net, const MatrixF16& x
                                            const core::Geometry& g,
                                            GemmFn gemm = {});
 
-/// The SGD update rule shared by every executor (the Autoencoder rule):
+/// The SGD update rule shared by every executor:
 /// w := fp16_sub(w, fp16((lr / batch) * dw)), elementwise.
 void apply_sgd_update(MatrixF16& w, const MatrixF16& dw, double lr,
                       uint32_t batch);

@@ -111,31 +111,25 @@ TEST(NetworkGraph, RejectsNonChainingLayers) {
   EXPECT_THROW(net.add_linear(random_matrix(4, 9, rng)), redmule::Error);
 }
 
-TEST(NetworkGraph, AutoencoderMatchesAutoencoderClassForward) {
+TEST(NetworkGraph, UnpaddedChainAgreesWithPaddedReference) {
+  // A second reference: the plain FMA chain (core::golden_gemm) without the
+  // array's zero-padding FMAs agrees numerically with the padded golden
+  // every executor is checked against; the only admissible difference is
+  // the sign of zero from the padding FMAs.
   workloads::AutoencoderConfig cfg;
   cfg.input_dim = 24;
   cfg.hidden = {12, 6, 12};
-  cfg.batch = 4;
-  Xoshiro256 rng_a(42), rng_b(42);
-  workloads::Autoencoder ae(cfg, rng_a);
-  NetworkGraph net = NetworkGraph::autoencoder(cfg, rng_b);
-  ASSERT_EQ(net.n_layers(), cfg.n_layers());
-  for (size_t l = 0; l < net.n_layers(); ++l)
-    expect_bit_exact(net.layer(l).weight, ae.weight(l),
-                     "weights layer " + std::to_string(l));
-
-  // The golden network forward agrees numerically with the Autoencoder's
-  // forward (which uses the unpadded FMA chain): same values, where the
-  // only admissible difference is the sign of zero from padding FMAs.
-  Xoshiro256 rng_x(7);
-  const auto x = random_matrix(cfg.input_dim, cfg.batch, rng_x, -0.5, 0.5);
-  const auto ae_pre = ae.forward(x);
+  Xoshiro256 rng(42), rng_x(7);
+  const NetworkGraph net = NetworkGraph::autoencoder(cfg, rng);
+  const auto x = random_matrix(cfg.input_dim, 4, rng_x, -0.5, 0.5);
+  const auto chain =
+      workloads::reference_forward(net, x, core::Geometry{}, core::golden_gemm);
   const auto ref = workloads::reference_forward(net, x, core::Geometry{});
-  ASSERT_EQ(ae_pre.size(), ref.pre.size());
+  ASSERT_EQ(chain.pre.size(), ref.pre.size());
   for (size_t l = 0; l < ref.pre.size(); ++l)
     for (size_t i = 0; i < ref.pre[l].rows(); ++i)
       for (size_t j = 0; j < ref.pre[l].cols(); ++j) {
-        const double a = ae_pre[l](i, j).to_double();
+        const double a = chain.pre[l](i, j).to_double();
         const double b = ref.pre[l](i, j).to_double();
         ASSERT_TRUE(a == b || (std::isnan(a) && std::isnan(b)))
             << "layer " << l << " (" << i << "," << j << ")";
@@ -352,6 +346,63 @@ TEST(NetworkRunner, MseFallsOverSgdSteps) {
   for (int step = 0; step < 9; ++step)
     last = runner.training_step(net, x, x, 0.05).mse;
   EXPECT_LT(last, first) << "training on one batch must reduce its MSE";
+}
+
+void expect_rows(const std::vector<NetworkGemmStats>& got,
+                 const std::vector<workloads::AeGemm>& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const std::string row = what + " row " + std::to_string(i);
+    EXPECT_EQ(got[i].layer, want[i].layer) << row;
+    EXPECT_EQ(got[i].phase, want[i].phase) << row;
+    EXPECT_EQ(got[i].shape.name, want[i].shape.name) << row;
+    EXPECT_EQ(got[i].shape.m, want[i].shape.m) << row;
+    EXPECT_EQ(got[i].shape.n, want[i].shape.n) << row;
+    EXPECT_EQ(got[i].shape.k, want[i].shape.k) << row;
+  }
+}
+
+TEST(NetworkRunner, GemmStatsFollowTheGraphLowering) {
+  // Every execution path labels its GEMMs with the graph's one lowering: at
+  // an odd batch the runner's rows are exactly NetworkGraph::training_gemms
+  // (forward_gemms for forward()), a training slice runs its forward + dX
+  // subset, and the accumulator its dW subset, each in execution order.
+  const uint32_t batch = 3;
+  const workloads::AutoencoderConfig cfg = reduced_ae(batch);
+  Xoshiro256 rng(61), rng_x(62);
+  NetworkGraph net = NetworkGraph::autoencoder(cfg, rng);
+  const auto x = random_matrix(cfg.input_dim, batch, rng_x, -0.5, 0.5);
+  const std::vector<workloads::AeGemm> want = net.training_gemms(batch);
+  std::vector<workloads::AeGemm> fw_dx, dw;
+  for (const workloads::AeGemm& g : want)
+    (g.phase == workloads::AeGemm::Phase::kGradWeight ? dw : fw_dx).push_back(g);
+
+  {
+    Cluster cl;
+    RedmuleDriver drv(cl);
+    NetworkRunner runner(cl, drv);
+    expect_rows(runner.forward(net, x).stats.gemms, net.forward_gemms(batch),
+                "forward");
+  }
+  {
+    Cluster cl;
+    RedmuleDriver drv(cl);
+    NetworkRunner runner(cl, drv);
+    expect_rows(runner.training_step(net, x, x, 0.0).stats.gemms, want,
+                "training_step");
+  }
+  Cluster cl;
+  RedmuleDriver drv(cl);
+  NetworkRunner runner(cl, drv);
+  const auto slice = runner.training_slice(net, x, x);
+  expect_rows(slice.stats.gemms, fw_dx, "training_slice");
+
+  Cluster acc_cl;
+  RedmuleDriver acc_drv(acc_cl);
+  DwAccumulator acc(acc_cl, acc_drv, net, slice.grads.padded_batch);
+  expect_rows(acc.accumulate(slice.grads, /*first=*/true).gemms, dw,
+              "DwAccumulator");
 }
 
 TEST(NetworkRunner, SizingHelpersCoverTheRun) {
