@@ -160,9 +160,7 @@ bool ZBuffer::tile_open(uint64_t tile) const {
   return false;
 }
 
-void ZBuffer::capture(uint64_t tile, uint32_t tau,
-                      const std::vector<fp16::Float16>& values) {
-  REDMULE_ASSERT(values.size() == geom_.l);
+void ZBuffer::capture(uint64_t tile, uint32_t tau, const fp16::Float16* values) {
   for (TileBuf& b : open_tiles_) {
     if (b.tile != tile) continue;
     REDMULE_ASSERT(tau < geom_.j_slots());

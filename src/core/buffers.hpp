@@ -126,8 +126,9 @@ class ZBuffer {
   bool can_open_tile() const;
   void open_tile(uint64_t tile);
   bool tile_open(uint64_t tile) const;
-  /// Captures the column of Z values for j-slot \p tau (one value per row).
-  void capture(uint64_t tile, uint32_t tau, const std::vector<fp16::Float16>& values);
+  /// Captures the column of Z values for j-slot \p tau (one value per row,
+  /// L of them).
+  void capture(uint64_t tile, uint32_t tau, const fp16::Float16* values);
   /// Seals the tile and emits row stores for the valid region.
   void close_tile(uint64_t tile, uint32_t z_ptr, const Job& job, unsigned mt,
                   unsigned kt);

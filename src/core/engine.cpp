@@ -23,13 +23,10 @@ RedmuleEngine::RedmuleEngine(const Geometry& g, mem::Hci& hci)
   REDMULE_REQUIRE(g.j_slots() <= 32,
                   "cycle model supports up to 32 j-slots (use the analytical "
                   "model for wider geometries)");
-  x_regs_.assign(g.h, std::vector<Float16>(g.l));
-  steps_.resize(g.h);
+  x_regs_.assign(static_cast<size_t>(g.h) * g.l, Float16{});
+  y_init_.assign(g.l, Float16{});
+  cursors_.resize(g.h);
   issues_.resize(g.h);
-  for (auto& issue : issues_) {
-    issue.x.reserve(g.l);
-    issue.init_acc.reserve(g.l);
-  }
 }
 
 void RedmuleEngine::reg_write(uint32_t offset, uint32_t value) {
@@ -63,13 +60,13 @@ void RedmuleEngine::reset() {
   ac_ = 0;
   total_span_ = 0;
   done_event_ = false;
-  for (auto& regs : x_regs_) std::fill(regs.begin(), regs.end(), Float16{});
-  std::fill(steps_.begin(), steps_.end(), ColStep{});
-  for (auto& issue : issues_) {
-    issue = Datapath::ColumnIssue{};
-    issue.x.reserve(geom_.l);
-    issue.init_acc.reserve(geom_.l);
-  }
+  elide_ = false;
+  close_mt_ = 0;
+  close_kt_ = 0;
+  std::fill(x_regs_.begin(), x_regs_.end(), Float16{});
+  std::fill(y_init_.begin(), y_init_.end(), Float16{});
+  std::fill(cursors_.begin(), cursors_.end(), ColCursor{});
+  std::fill(issues_.begin(), issues_.end(), Datapath::ColumnIssue{});
   cur_stats_ = JobStats{};
   last_stats_ = JobStats{};
 }
@@ -110,13 +107,20 @@ void RedmuleEngine::start_job() {
   ac_ = 0;
   total_span_ = static_cast<uint64_t>(tiling_->tiles()) * tiling_->n_chunks *
                 geom_.j_slots();
-  for (auto& regs : x_regs_) std::fill(regs.begin(), regs.end(), Float16{});
-  std::fill(steps_.begin(), steps_.end(), ColStep{});
-  for (auto& issue : issues_) {
-    issue = Datapath::ColumnIssue{};
-    issue.x.reserve(geom_.l);
-    issue.init_acc.reserve(geom_.l);
+  // Full compute for observers (they see every lane) and under the FMA
+  // kill switch (the soft-core reference computes everything).
+  elide_ = !observer_active_ && fp16::fast_fma_enabled();
+  close_mt_ = 0;
+  close_kt_ = 0;
+  std::fill(x_regs_.begin(), x_regs_.end(), Float16{});
+  std::fill(y_init_.begin(), y_init_.end(), Float16{});
+  for (unsigned c = 0; c < geom_.h; ++c) {
+    ColCursor& cu = cursors_[c];
+    cu = ColCursor{};
+    cu.local = -static_cast<int64_t>(c) * geom_.fma_latency();
+    enter_tile(cu, c, 0, 0);
   }
+  std::fill(issues_.begin(), issues_.end(), Datapath::ColumnIssue{});
   cur_stats_ = JobStats{};
   cur_stats_.macs = job_.macs();
   state_ = Fsm::kRunning;
@@ -131,105 +135,126 @@ void RedmuleEngine::finish_job() {
   state_ = Fsm::kIdle;
 }
 
+void RedmuleEngine::enter_tile(ColCursor& cu, unsigned c, unsigned mt,
+                               unsigned kt) const {
+  const unsigned js = geom_.j_slots();
+  cu.mt = mt;
+  cu.kt = kt;
+  cu.trav = 0;
+  cu.tau = 0;
+  cu.n = c;  // c < H <= j_slots: group 0, offset c
+  cu.q = 0;
+  cu.off = c;
+  // The same extents close_tile() stores. Past the last tile the column is
+  // idle and the extents are never read.
+  if (mt < tiling_->m_tiles) {
+    cu.live_rows = std::min<unsigned>(geom_.l, job_.m - mt * geom_.l);
+    cu.live_cols = std::min<unsigned>(js, job_.k - kt * js);
+  }
+}
+
+void RedmuleEngine::step_cursor(ColCursor& cu, unsigned c) const {
+  if (cu.local++ < 0) return;  // not yet at slot 0
+  const unsigned js = geom_.j_slots();
+  if (++cu.tau < js) return;
+  cu.tau = 0;
+  if (++cu.trav < tiling_->n_chunks) {
+    cu.n += geom_.h;
+    cu.off += geom_.h;  // H <= j_slots: wraps at most once
+    if (cu.off >= js) {
+      cu.off -= js;
+      ++cu.q;
+    }
+    return;
+  }
+  ++cu.tile;
+  if (cu.kt + 1 < tiling_->k_tiles)
+    enter_tile(cu, c, cu.mt, cu.kt + 1);
+  else
+    enter_tile(cu, c, cu.mt + 1, 0);
+}
+
 bool RedmuleEngine::try_advance() {
   const unsigned h = geom_.h;
+  const unsigned l = geom_.l;
   const unsigned js = geom_.j_slots();
-  const unsigned lat = geom_.fma_latency();
-  const Tiling& tl = *tiling_;
+  const uint32_t last_trav = tiling_->n_chunks - 1;
+  const int64_t span = static_cast<int64_t>(total_span_);
 
-  // --- Phase 1: decode and check every requirement; stall on any miss
-  // (global HWPE enable, nothing moves on a stall). steps_ is engine-owned
-  // scratch, reused every cycle without allocation.
+  // --- Phase 1: check every requirement; stall on any miss (global HWPE
+  // enable, nothing moves on a stall -- the cursors included).
   for (unsigned c = 0; c < h; ++c) {
-    ColStep& st = steps_[c];
-    st = ColStep{};
-    const int64_t local = static_cast<int64_t>(ac_) - static_cast<int64_t>(c) * lat;
-    if (local < 0 || local >= static_cast<int64_t>(total_span_)) continue;
-    st.active = true;
-    const uint64_t t_global = static_cast<uint64_t>(local) / js;
-    st.tile = t_global / tl.n_chunks;
-    st.trav = static_cast<uint32_t>(t_global % tl.n_chunks);
-    st.tau = static_cast<uint32_t>(local % js);
-    st.n = static_cast<uint64_t>(st.trav) * h + c;
-    st.padded = st.n >= job_.n;
-
-    if (!st.padded) {
+    ColCursor& cu = cursors_[c];
+    if (cu.local < 0 || cu.local >= span) continue;
+    if (cu.n < job_.n) {  // padded columns (n >= N) involve no buffer
       // The W element is consumed from the column's shift register every
       // cycle of the traversal window.
-      st.wline = wbuf_.front_if(c, st.tile, st.trav);
-      if (st.wline == nullptr) return false;
+      cu.wline = wbuf_.front_if(c, cu.tile, cu.trav);
+      if (cu.wline == nullptr) return false;
       // The X operand registers load from the X-buffer at tau == 0 only;
       // afterwards the line may be retired (the operands are held locally).
-      if (st.tau == 0 &&
-          xbuf_.find_ready(st.tile, static_cast<uint32_t>(st.n / js)) == nullptr)
-        return false;
+      if (cu.tau == 0 && xbuf_.find_ready(cu.tile, cu.q) == nullptr) return false;
     }
     // Accumulation input: column 0 injects Y on the first traversal.
-    if (job_.accumulate && c == 0 && st.trav == 0 &&
-        ybuf_.find_ready(st.tile, 0) == nullptr)
+    if (job_.accumulate && c == 0 && cu.trav == 0 &&
+        ybuf_.find_ready(cu.tile, 0) == nullptr)
       return false;
     // Z capture-buffer reservation at the start of a tile's last traversal
     // in the final column; the capture itself begins fma_latency later.
-    if (c == h - 1 && st.trav == tl.n_chunks - 1 && st.tau == 0 &&
-        !zbuf_.can_open_tile())
+    if (c == h - 1 && cu.trav == last_trav && cu.tau == 0 && !zbuf_.can_open_tile())
       return false;
   }
 
   // --- Phase 2: all operands present; perform latches, pops, and the
-  // datapath step. issues_ is reused scratch: reset the per-column fields
-  // (clear() keeps vector capacity, so steady state never allocates).
+  // datapath step.
   for (unsigned c = 0; c < h; ++c) {
-    const ColStep& st = steps_[c];
+    const ColCursor& cu = cursors_[c];
     Datapath::ColumnIssue& issue = issues_[c];
-    issue.active = false;
-    issue.first_traversal = false;
-    issue.init_acc.clear();
-    // Padded columns never assign w below, so a stale broadcast from an
-    // earlier cycle (possibly Inf/NaN) must not leak into their FMAs.
-    issue.w = Float16{};
-    if (!st.active) {
-      issue.tag = PipeTag{};
-      issue.x.clear();  // observers must not see a stale operand snapshot
+    if (cu.local < 0 || cu.local >= span) {
+      issue = Datapath::ColumnIssue{};  // observers see no stale operands
       continue;
     }
-
-    if (st.tau == 0) {
+    const bool padded = cu.n >= job_.n;
+    Float16* x_reg = &x_regs_[static_cast<size_t>(c) * l];
+    if (cu.tau == 0) {
       // Operand-register load: latch the X elements for this traversal.
-      if (st.padded) {
-        std::fill(x_regs_[c].begin(), x_regs_[c].end(), Float16{});
+      if (padded) {
+        std::fill(x_reg, x_reg + l, Float16{});
       } else {
-        const uint32_t q = static_cast<uint32_t>(st.n / js);
-        XGroup* grp = xbuf_.find_ready(st.tile, q);
+        XGroup* grp = xbuf_.find_ready(cu.tile, cu.q);
         REDMULE_ASSERT(grp != nullptr);
-        const unsigned off = static_cast<unsigned>(st.n % js);
-        for (unsigned r = 0; r < geom_.l; ++r) x_regs_[c][r] = grp->rows[r][off];
+        for (unsigned r = 0; r < l; ++r) x_reg[r] = grp->rows[r][cu.off];
         // Retire the line group once its last operand load happened.
         ++grp->uses;
-        const uint32_t n0 = q * js;
+        const uint32_t n0 = cu.q * js;
         const uint32_t expected = std::min<uint32_t>(js, job_.n - n0);
         if (grp->uses == expected) xbuf_.pop_front();
       }
     }
 
     issue.active = true;
-    issue.tag = PipeTag{st.tile, st.trav, st.tau, st.trav == tl.n_chunks - 1};
-    issue.first_traversal = st.trav == 0;
-    issue.x = x_regs_[c];
-    if (job_.accumulate && c == 0 && st.trav == 0) {
-      XGroup* ygrp = ybuf_.find_ready(st.tile, 0);
+    issue.tag = PipeTag{cu.tile, cu.trav, cu.tau, cu.trav == last_trav};
+    issue.first_traversal = cu.trav == 0;
+    issue.x = x_reg;
+    issue.init_acc = nullptr;
+    // Liveness: only the Z elements close_tile() stores are computed.
+    issue.live_lanes = !elide_ ? l : cu.tau < cu.live_cols ? cu.live_rows : 0;
+    if (job_.accumulate && c == 0 && cu.trav == 0) {
+      XGroup* ygrp = ybuf_.find_ready(cu.tile, 0);
       REDMULE_ASSERT(ygrp != nullptr);
-      issue.init_acc.resize(geom_.l);
-      for (unsigned r = 0; r < geom_.l; ++r)
-        issue.init_acc[r] = ygrp->rows[r][st.tau];
-      if (st.tau == js - 1) ybuf_.pop_front();  // Y tile fully injected
+      for (unsigned r = 0; r < l; ++r) y_init_[r] = ygrp->rows[r][cu.tau];
+      issue.init_acc = y_init_.data();
+      if (cu.tau == js - 1) ybuf_.pop_front();  // Y tile fully injected
     }
-    if (!st.padded) {
-      REDMULE_ASSERT(st.wline != nullptr);
-      issue.w = st.wline->elems[st.tau];
-      if (st.tau == js - 1) wbuf_.pop(c);  // line fully broadcast
+    // Padded columns broadcast zero: a stale W from an earlier cycle
+    // (possibly Inf/NaN) must not leak into their FMAs.
+    issue.w = Float16{};
+    if (!padded) {
+      REDMULE_ASSERT(cu.wline != nullptr);
+      issue.w = cu.wline->elems[cu.tau];
+      if (cu.tau == js - 1) wbuf_.pop(c);  // line fully broadcast
     }
-    if (c == h - 1 && st.trav == tl.n_chunks - 1 && st.tau == 0)
-      zbuf_.open_tile(st.tile);
+    if (c == h - 1 && cu.trav == last_trav && cu.tau == 0) zbuf_.open_tile(cu.tile);
   }
 
   const std::optional<Datapath::Capture> cap = datapath_.advance(issues_);
@@ -237,11 +262,14 @@ bool RedmuleEngine::try_advance() {
   if (cap.has_value()) {
     zbuf_.capture(cap->tag.tile, cap->tag.tau, cap->values);
     if (cap->tag.tau == js - 1) {  // tile fully captured: emit row stores
-      const unsigned mt = static_cast<unsigned>(cap->tag.tile / tl.k_tiles);
-      const unsigned kt = static_cast<unsigned>(cap->tag.tile % tl.k_tiles);
-      zbuf_.close_tile(cap->tag.tile, job_.z_ptr, job_, mt, kt);
+      zbuf_.close_tile(cap->tag.tile, job_.z_ptr, job_, close_mt_, close_kt_);
+      if (++close_kt_ == tiling_->k_tiles) {
+        close_kt_ = 0;
+        ++close_mt_;
+      }
     }
   }
+  for (unsigned c = 0; c < h; ++c) step_cursor(cursors_[c], c);
   ++ac_;
   return true;
 }

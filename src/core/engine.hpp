@@ -31,7 +31,7 @@ struct JobStats {
   uint64_t advance_cycles = 0;  ///< cycles the array moved
   uint64_t stall_cycles = 0;    ///< cycles the array was frozen
   uint64_t macs = 0;            ///< useful MACs (M*N*K)
-  uint64_t fma_ops = 0;         ///< physical FMA issues incl. padded lanes
+  uint64_t fma_ops = 0;         ///< FMA issues incl. padded and elided lanes
 
   double macs_per_cycle() const {
     return cycles == 0 ? 0.0 : static_cast<double>(macs) / static_cast<double>(cycles);
@@ -63,7 +63,9 @@ class RedmuleEngine : public sim::Clocked {
   /// Debug/visualization hook: invoked after every successful array advance
   /// with the schedule counter, the issue set (inactive columns have
   /// active = false) and the capture, if any. Used by the Fig. 2 schedule
-  /// bench and by schedule-verification tests; zero cost when unset.
+  /// bench and by schedule-verification tests; zero cost when unset. A job
+  /// started while an observer is attached computes every lane (no
+  /// liveness elision), so the issues and captures it sees are complete.
   using ScheduleObserver =
       std::function<void(uint64_t ac, const std::vector<Datapath::ColumnIssue>&,
                          const std::optional<Datapath::Capture>&)>;
@@ -113,21 +115,32 @@ class RedmuleEngine : public sim::Clocked {
  private:
   enum class Fsm { kIdle, kRunning };
 
-  /// Decoded schedule step for one column (phase-1 scratch; lives in the
-  /// engine so the hot loop never allocates).
-  struct ColStep {
-    bool active = false;
+  /// One column's position in the systolic schedule. Column c runs the same
+  /// sequence of (tile, trav, tau) slots as column 0, fma_latency() cycles
+  /// later; the cursor steps through it by one slot per array advance, so
+  /// the hot loop never divides.
+  struct ColCursor {
+    int64_t local = 0;   ///< slot index; negative while the column waits
     uint64_t tile = 0;
     uint32_t trav = 0;
     uint32_t tau = 0;
-    uint64_t n = 0;
-    bool padded = false;  // n >= N: zero lane, no buffer involvement
+    unsigned mt = 0;     ///< tile / k_tiles
+    unsigned kt = 0;     ///< tile % k_tiles
+    uint64_t n = 0;      ///< X column / W row: trav * H + c
+    uint32_t q = 0;      ///< X group holding n: n / j_slots
+    unsigned off = 0;    ///< n % j_slots
+    unsigned live_rows = 0;  ///< Z rows the tile stores: valid_rows(mt)
+    unsigned live_cols = 0;  ///< Z columns the tile stores: valid_cols(kt)
     const WLine* wline = nullptr;  ///< phase-1 lookup, consumed by phase 2
   };
 
   void start_job();
   void finish_job();
   bool try_advance();
+  /// Moves \p cu to its first slot of tile (mt, kt) and loads the tile's
+  /// liveness extents.
+  void enter_tile(ColCursor& cu, unsigned c, unsigned mt, unsigned kt) const;
+  void step_cursor(ColCursor& cu, unsigned c) const;
 
   Geometry geom_;
   mem::Hci& hci_;
@@ -145,15 +158,24 @@ class RedmuleEngine : public sim::Clocked {
   uint64_t ac_ = 0;          ///< array schedule counter (advance steps)
   uint64_t total_span_ = 0;  ///< issue window length = tiles * n_chunks * j_slots
   bool done_event_ = false;
-  /// Per-column X operand registers: loaded from the X-buffer at the first
-  /// j-slot of each traversal and held for the whole H*(P+1) window, as the
-  /// paper describes ("X-matrix elements of each FMA are held steady").
-  std::vector<std::vector<fp16::Float16>> x_regs_;
-  /// Pre-allocated per-cycle scratch for try_advance(): sized once at
+  /// Compute only the lanes a Z store can observe. Decided per job in
+  /// start_job(): off while a schedule observer is attached (it sees every
+  /// lane) or the FMA fast path is switched off (the soft-core reference).
+  bool elide_ = false;
+  /// (mt, kt) of the next tile to close; tiles close in sequence order.
+  unsigned close_mt_ = 0;
+  unsigned close_kt_ = 0;
+  /// Per-column X operand registers, [H][L]: loaded from the X-buffer at the
+  /// first j-slot of each traversal and held for the whole H*(P+1) window,
+  /// as the paper describes ("X-matrix elements of each FMA are held
+  /// steady"). Issues point into it.
+  std::vector<fp16::Float16> x_regs_;
+  /// Column 0's Y-injection operands of the current cycle (L of them).
+  std::vector<fp16::Float16> y_init_;
+  /// Per-column schedule cursors and issue descriptors: sized once at
   /// construction (H entries each), reset in start_job(), reused every
-  /// cycle. Hoisting these out of the hot loop removes the two per-cycle
-  /// heap allocations the seed kernel paid.
-  std::vector<ColStep> steps_;
+  /// cycle without allocation.
+  std::vector<ColCursor> cursors_;
   std::vector<Datapath::ColumnIssue> issues_;
 
   JobStats cur_stats_;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -173,7 +174,10 @@ inline Float16 f16(double x) { return Float16::from_double(x); }
 
 /// Process-wide kill switch for the native-FMA fast path (on by default).
 /// Benches use it to measure soft-core vs fast-path kernel throughput; with
-/// the fast path disabled every fma() call takes the soft-float core.
+/// the fast path disabled every fma() call takes the soft-float core. Off
+/// also disables the accelerator model's liveness elision: a job started
+/// while the switch is off computes every datapath lane, dead ones
+/// included, so "off" is the full soft-core reference (core/datapath.hpp).
 /// Stored as a relaxed atomic so batch worker threads can read it while a
 /// controlling thread flips it (a relaxed load compiles to a plain load on
 /// every target we care about; the fast path pays nothing). Toggling while
@@ -254,14 +258,21 @@ inline bool fast_pack_rne(double v, uint16_t* out) {
 //     the lattice generated by ulp(p) and ulp(c): ulp(p) >= 2^(ep-21) and
 //     ulp(c) >= 2^(ec-10), and whenever a term is small enough not to bound
 //     the lattice it is also too small to cancel the other term's distance
-//     to a boundary, so any nonzero distance is >= 2^(e-34) >> 2^(e-53).
-//     (Exhaustively cross-checked against the soft core in
-//     tests/fp16/test_hw_crosscheck.cpp, including all rounding modes and
-//     the flag-observing entry points.)
+//     to a boundary, so any nonzero distance is >= 2^(e-34) >> 2^(e-53);
+//  5. an exact-zero v is returned as binary64's signed zero. The double is
+//     zero only when the exact a*b + c is: operands are multiples of 2^-24,
+//     so a nonzero sum is at least 2^-48 in magnitude, deep inside
+//     binary64's normal range, and fl53 cannot round it to zero. IEEE 754
+//     fixes the sign of an exact zero sum under RNE -- the common sign when
+//     both addends are zeros of that sign, +0 otherwise -- and binary64 and
+//     the soft core apply that same rule.
+// (Cross-checked against the soft core in tests/fp16/test_hw_crosscheck.cpp,
+// including all rounding modes, the flag-observing entry points, every
+// signed-zero combination and exact cancellations.)
 //
 // fast_pack_rne() bails (-> soft core) when the 53-bit result is outside the
-// fp16 *normal* range: subnormal/zero results need the soft core's tininess
-// and signed-zero handling, overflow its saturation logic.
+// fp16 *normal* range: nonzero subnormal results need the soft core's
+// tininess handling, overflow its saturation logic.
 inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
                             Flags* flags) {
   if (detail::g_fast_fma_enabled.load(std::memory_order_relaxed) &&
@@ -272,6 +283,7 @@ inline Float16 Float16::fma(Float16 a, Float16 b, Float16 c, RoundingMode rm,
                      detail::normal_to_double(c);
     uint16_t bits;
     if (detail::fast_pack_rne(v, &bits)) return from_bits(bits);
+    if (v == 0.0) return from_bits(std::signbit(v) ? 0x8000 : 0x0000);
   }
   return fma_soft(a, b, c, rm, flags);
 }

@@ -87,7 +87,7 @@ TEST(ZBufferUnit, CaptureAndStoreEmission) {
   std::vector<Float16> col(g.l);
   for (unsigned tau = 0; tau < g.j_slots(); ++tau) {
     for (unsigned r = 0; r < g.l; ++r) col[r] = f16(static_cast<double>(r + tau));
-    zb.capture(0, tau, col);
+    zb.capture(0, tau, col.data());
   }
   zb.close_tile(0, /*z_ptr=*/0x10000000, job, /*mt=*/0, /*kt=*/0);
   EXPECT_EQ(zb.pending_stores(), 8u);  // one row store per valid row
@@ -108,7 +108,7 @@ TEST(ZBufferUnit, EdgeTileClipsRowsAndColumns) {
   job.k = 20;  // second k-tile has 4 valid columns
   zb.open_tile(3);  // tile (mt=1, kt=1) in a 2x2 tiling
   std::vector<Float16> col(g.l, f16(1.0));
-  for (unsigned tau = 0; tau < g.j_slots(); ++tau) zb.capture(3, tau, col);
+  for (unsigned tau = 0; tau < g.j_slots(); ++tau) zb.capture(3, tau, col.data());
   zb.close_tile(3, 0x10000000, job, /*mt=*/1, /*kt=*/1);
   EXPECT_EQ(zb.pending_stores(), 2u);  // rows 8, 9 only
   EXPECT_EQ(zb.front_store().n_halfwords, 4u);  // columns 16..19 only
@@ -128,7 +128,7 @@ TEST(ZBufferUnit, BackpressureBounds) {
   for (uint64_t t = 0; t < ZBuffer::kTileBuffers; ++t) {
     ASSERT_TRUE(zb.can_open_tile());
     zb.open_tile(t);
-    for (unsigned tau = 0; tau < g.j_slots(); ++tau) zb.capture(t, tau, col);
+    for (unsigned tau = 0; tau < g.j_slots(); ++tau) zb.capture(t, tau, col.data());
     zb.close_tile(t, 0x10000000, job, static_cast<unsigned>(t), 0);
   }
   EXPECT_FALSE(zb.can_open_tile());  // pending stores exceed the bound

@@ -214,12 +214,101 @@ TEST(Fp16FastFma, DirectedEligibilityEdges) {
                               << cb;
       }
   // Exact cancellation a*b == -c: the binary64 sum is exactly +0.0, which
-  // must bail to the soft core (RNE result is +0 with no flags).
+  // the fast path returns as-is (the soft core's RNE result is +0 too).
   const Float16 one = Float16::from_bits(0x3C00);
   const Float16 two = Float16::from_bits(0x4000);
   const Float16 neg_two = Float16::from_bits(0xC000);
   EXPECT_EQ(Float16::fma(one, two, neg_two).bits(),
             Float16::fma_soft(one, two, neg_two).bits());
+}
+
+// Exact-zero results take the fast path (binary64's signed zero); these
+// class-targeted sets pin them against the soft core.
+
+TEST(Fp16FastFma, SignedZeroOperandsBitExact) {
+  // Every +-0 operand position against every encoding: zero products with
+  // zero, normal and special addends, and zero addends under any product.
+  ASSERT_TRUE(fast_fma_enabled());
+  const uint16_t zeros[] = {0x0000, 0x8000};
+  const uint16_t addends[] = {0x0000, 0x8000, 0x3C00, 0xBC00, 0x0400, 0x8001,
+                              0x7BFF, 0x7C00, 0xFC00, 0x7E00};
+  for (uint32_t e = 0; e <= 0xFFFF; ++e) {
+    const Float16 v = Float16::from_bits(static_cast<uint16_t>(e));
+    for (const uint16_t zb : zeros) {
+      const Float16 z = Float16::from_bits(zb);
+      for (const uint16_t cb : addends) {
+        const Float16 c = Float16::from_bits(cb);
+        ASSERT_EQ(Float16::fma(z, v, c).bits(), Float16::fma_soft(z, v, c).bits())
+            << std::hex << "a=0x" << zb << " b=0x" << e << " c=0x" << cb;
+        ASSERT_EQ(Float16::fma(v, z, c).bits(), Float16::fma_soft(v, z, c).bits())
+            << std::hex << "a=0x" << e << " b=0x" << zb << " c=0x" << cb;
+      }
+      for (const uint16_t ab : zeros) {  // a*b with one zero factor, c = +-0
+        const Float16 a = Float16::from_bits(ab);
+        ASSERT_EQ(Float16::fma(a, v, z).bits(), Float16::fma_soft(a, v, z).bits())
+            << std::hex << "a=0x" << ab << " b=0x" << e << " c=0x" << zb;
+      }
+    }
+  }
+  // Nonzero products onto +-0 (including products that underflow to zero).
+  Xoshiro256 rng(404);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const Float16 a = Float16::from_bits(rng.next_u16());
+    const Float16 b = Float16::from_bits(rng.next_u16());
+    const Float16 c = Float16::from_bits((rng.next_u16() & 1u) ? 0x8000 : 0x0000);
+    ASSERT_EQ(Float16::fma(a, b, c).bits(), Float16::fma_soft(a, b, c).bits())
+        << std::hex << "a=0x" << a.bits() << " b=0x" << b.bits() << " c=0x" << c.bits();
+  }
+}
+
+TEST(Fp16FastFma, ZeroTimesZeroPlusNegativeZero) {
+  // 0*0 + (-0): RNE's exact-zero sum of opposite-signed zeros is +0; only
+  // a negative product onto -0 stays -0.
+  const Float16 pz = Float16::from_bits(0x0000);
+  const Float16 nz = Float16::from_bits(0x8000);
+  EXPECT_EQ(Float16::fma(pz, pz, nz).bits(), 0x0000);
+  EXPECT_EQ(Float16::fma(nz, nz, nz).bits(), 0x0000);
+  EXPECT_EQ(Float16::fma(nz, pz, nz).bits(), 0x8000);
+  EXPECT_EQ(Float16::fma(pz, nz, nz).bits(), 0x8000);
+  EXPECT_EQ(Float16::fma(nz, pz, pz).bits(), 0x0000);
+  for (const Float16 a : {pz, nz})
+    for (const Float16 b : {pz, nz})
+      for (const Float16 c : {pz, nz})
+        EXPECT_EQ(Float16::fma(a, b, c).bits(), Float16::fma_soft(a, b, c).bits());
+}
+
+TEST(Fp16FastFma, ExactCancellationsBitExact) {
+  // a*b == -c exactly, over every pair of operand exponents: factors with
+  // short significands keep the product exact, and c is its negation
+  // whenever that is representable. Every such sum is an exact zero (+0
+  // under RNE); the sweep also keeps the near misses where c rounded.
+  ASSERT_TRUE(fast_fma_enabled());
+  Xoshiro256 rng(2718);
+  int exact = 0;
+  for (int ea = -14; ea <= 15; ++ea) {
+    for (int eb = -14; eb <= 15; ++eb) {
+      for (int i = 0; i < 24; ++i) {
+        const double ma = 1.0 + static_cast<double>(rng.next_below(32)) / 32.0;
+        const double mb = 1.0 + static_cast<double>(rng.next_below(32)) / 32.0;
+        const double sa = (rng.next_u16() & 1u) ? -1.0 : 1.0;
+        const double sb = (rng.next_u16() & 1u) ? -1.0 : 1.0;
+        const Float16 a = f16(sa * std::ldexp(ma, ea));
+        const Float16 b = f16(sb * std::ldexp(mb, eb));
+        const double p = a.to_double() * b.to_double();
+        const Float16 c = f16(-p);
+        const uint16_t fast = Float16::fma(a, b, c).bits();
+        ASSERT_EQ(fast, Float16::fma_soft(a, b, c).bits())
+            << std::hex << "a=0x" << a.bits() << " b=0x" << b.bits() << " c=0x"
+            << c.bits();
+        if (c.is_finite() && c.to_double() == -p && p != 0.0) {
+          ASSERT_EQ(fast, 0x0000) << std::hex << "a=0x" << a.bits() << " b=0x"
+                                  << b.bits();
+          ++exact;
+        }
+      }
+    }
+  }
+  EXPECT_GT(exact, 5000);  // the sweep really exercised exact cancellations
 }
 
 TEST(Fp16FastFma, KillSwitchForcesSoftCore) {
